@@ -7,7 +7,7 @@ kernel state is tens of megabytes must complete under a
 bounded by the cap for the entire solve, and produce a final relation
 bit-identical to the reference kernel's.  This file is the benchmark
 version of ``tests/bdd/test_ooc_cap.py``: the ``javac-xl`` preset
-(~70 MB uncapped) under a 16 MiB cap, which saturates all three spill
+(tens of MB uncapped) under a 12 MiB cap, which saturates all three spill
 mechanisms -- unique-table sorted-run flushes, node-page eviction,
 and sweep-queue chunk spills.
 

@@ -17,8 +17,9 @@ node arrays page to disk under an LRU budget, and the unique table
 overflows into level-major sorted runs.
 
 :class:`OocBDDManager` is that kernel behind the existing
-``DiagramBackend`` seam.  It subclasses :class:`BDDManager` and keeps
-its *semantics* bit-for-bit: hash-consing stays global, so diagrams
+``DiagramBackend`` seam.  It subclasses
+:class:`~repro.bdd.sweep.SweepKernel` and keeps the reference
+kernel's *semantics* bit-for-bit: hash-consing stays global, so diagrams
 are canonical and serialized wire bytes (``repro.bdd.io``) are
 identical to the reference kernel's — the cross-kernel differential
 suites assert exactly that.  What changes is the storage and the
@@ -28,10 +29,10 @@ evaluation strategy:
   shared LRU byte budget, dirty pages spilled to the spill directory),
 - the unique table is a :class:`SpillableUniqueTable` (bounded
   in-memory delta dict over level-major sorted runs on disk),
-- ``apply`` / ``exist`` / fused ``and_exist`` / ``replace`` run as
-  two-phase streaming sweeps; ``apply_not`` lowers to ``XOR TRUE`` so
-  it shares the iterative engine (no recursion anywhere in the hot
-  ops — managers thousands of levels deep work),
+- ``apply`` / ``exist`` / fused ``and_exist`` / ``replace`` run on
+  the shared sweep driver (:mod:`repro.bdd.sweep`) with the request
+  and plan queues held in a spillable :class:`_SweepStore`; no hot op
+  recurses, so managers thousands of levels deep work,
 - every resident structure is byte-accounted against
   ``memory_cap_bytes``; the per-structure budgets (page cache, unique
   delta, request queues, operation caches) spill or evict under
@@ -60,16 +61,8 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.bdd.manager import (
-    FALSE,
-    TRUE,
-    _OP_AND,
-    _OP_DIFF,
-    _OP_OR,
-    _OP_XOR,
-    BDDError,
-    BDDManager,
-)
+from repro.bdd.manager import FALSE, TRUE, BDDError
+from repro.bdd.sweep import LevelQueue, SweepKernel
 
 __all__ = [
     "OocBDDManager",
@@ -251,6 +244,9 @@ class PagedIntArray:
             self._stamps[pno] = self._cache.tick()
         return page[i & _PAGE_MASK]
 
+    #: numpy's spelling of ``self[i]``, so sweeps read both node stores
+    #: alike.
+    item = __getitem__
     def __setitem__(self, i: int, value: int) -> None:
         pno = i >> _PAGE_SHIFT
         page = self._pages[pno]
@@ -664,23 +660,20 @@ class _LevelIndex:
 # ----------------------------------------------------------------------
 
 
-class _SweepStore:
-    """Rows bucketed by level, coldest buckets spillable to one chunk
-    file in the spill directory.
+class _SweepStore(LevelQueue):
+    """The sweeps' level queue with its coldest buckets spillable to one
+    chunk file in the spill directory.
 
-    This is the "request priority queue" of the sweeps: the downward
-    phase pushes child requests at strictly deeper levels and pops
-    buckets in ascending level order; the upward phase pushes plan
-    rows and pops them in descending order.  Either way a bucket is
-    written completely before it is read, so spilled chunks are only
+    A bucket is written completely before it is read (see
+    :class:`~repro.bdd.sweep.LevelQueue`), so spilled chunks are only
     ever appended and then streamed back once.
     """
 
-    __slots__ = ("mgr", "buckets", "rows_in_mem", "file", "chunks", "path")
+    __slots__ = ("mgr", "rows_in_mem", "file", "chunks", "path")
 
     def __init__(self, mgr: "OocBDDManager") -> None:
+        super().__init__()
         self.mgr = mgr
-        self.buckets: Dict[int, list] = {}
         self.rows_in_mem = 0
         self.file = None
         self.chunks: Dict[int, List[Tuple[int, int]]] = {}
@@ -688,22 +681,15 @@ class _SweepStore:
         mgr._active_stores.append(self)
 
     def push(self, level: int, row) -> None:
-        bucket = self.buckets.get(level)
-        if bucket is None:
-            bucket = self.buckets[level] = []
-        bucket.append(row)
-        self.rows_in_mem += 1
-        budget = self.mgr._queue_budget
-        if budget is not None and self.rows_in_mem * _EST_ROW > budget:
-            self._spill()
+        super().push(level, row)
+        self._added(1)
 
     def extend(self, level: int, rows: list) -> None:
-        bucket = self.buckets.get(level)
-        if bucket is None:
-            self.buckets[level] = list(rows)
-        else:
-            bucket.extend(rows)
-        self.rows_in_mem += len(rows)
+        super().extend(level, rows)
+        self._added(len(rows))
+
+    def _added(self, count: int) -> None:
+        self.rows_in_mem += count
         budget = self.mgr._queue_budget
         if budget is not None and self.rows_in_mem * _EST_ROW > budget:
             self._spill()
@@ -734,12 +720,12 @@ class _SweepStore:
             self.buckets[level] = []
 
     def levels(self) -> List[int]:
-        out = {lvl for lvl, rows in self.buckets.items() if rows}
+        out = set(super().levels())
         out.update(self.chunks)
         return sorted(out)
 
     def pop_level(self, level: int) -> list:
-        rows = self.buckets.pop(level, [])
+        rows = super().pop_level(level)
         self.rows_in_mem -= len(rows)
         for off, nbytes in self.chunks.pop(level, ()):
             self.file.seek(off)
@@ -755,7 +741,7 @@ class _SweepStore:
             except OSError:
                 pass
             self.file = None
-        self.buckets.clear()
+        super().close()
         self.chunks.clear()
         self.rows_in_mem = 0
         try:
@@ -778,7 +764,7 @@ _OOC_COUNTERS = (
 )
 
 
-class OocBDDManager(BDDManager):
+class OocBDDManager(SweepKernel):
     """Out-of-core BDD kernel: disk-backed node store, streaming sweeps.
 
     Parameters (beyond :class:`BDDManager`'s):
@@ -846,11 +832,9 @@ class OocBDDManager(BDDManager):
         self._unique = SpillableUniqueTable(self)
         self._at_level = _LevelIndex(self, num_vars)
         self._active_stores: List[_SweepStore] = []
-        self._active_resolved: List[dict] = []
         self._ooc: Dict[str, int] = {k: 0 for k in _OOC_COUNTERS}
         self._peak_resident = 0
         self._mk_tick = 0
-        self._sweep_trace: Optional[List[Tuple[str, int]]] = None
         self._note_resident()
 
     # -- spill directory ------------------------------------------------
@@ -968,431 +952,20 @@ class OocBDDManager(BDDManager):
             self._note_resident()
         return node
 
-    # -- sweep plumbing -------------------------------------------------
+    # -- sweep hooks (the driver is repro.bdd.sweep) ---------------------
 
-    @contextmanager
-    def _trace(self):
-        """Record (phase, level) transitions of every sweep — the
-        sweep-order property tests assert downward levels ascend and
-        upward levels descend."""
-        self._sweep_trace = []
-        try:
-            yield self._sweep_trace
-        finally:
-            self._sweep_trace = None
+    # Shared sweep operations, bound on this class as well so that
+    # instrumentation patching methods per class (it walks
+    # ``cls.__dict__``) sees them.
+    replace = SweepKernel.replace
+    apply_not = SweepKernel.apply_not
 
-    def _mark(self, phase: str, level: int) -> None:
-        if self._sweep_trace is not None:
-            self._sweep_trace.append((phase, level))
+    def _level_queue(self) -> _SweepStore:
+        return _SweepStore(self)
 
-    @staticmethod
-    def _apply_shortcut(op: int, a: int, b: int) -> Optional[int]:
-        # Byte-for-byte the reference kernel's terminal short-cuts.
-        if op == _OP_AND:
-            if a == FALSE or b == FALSE:
-                return FALSE
-            if a == TRUE:
-                return b
-            if b == TRUE:
-                return a
-            if a == b:
-                return a
-        elif op == _OP_OR:
-            if a == TRUE or b == TRUE:
-                return TRUE
-            if a == FALSE:
-                return b
-            if b == FALSE:
-                return a
-            if a == b:
-                return a
-        elif op == _OP_DIFF:
-            if a == FALSE or b == TRUE or a == b:
-                return FALSE
-            if b == FALSE:
-                return a
-        elif op == _OP_XOR:
-            if a == b:
-                return FALSE
-            if a == FALSE:
-                return b
-            if b == FALSE:
-                return a
-        return None
-
-    @staticmethod
-    def _take(resolved: dict, spec) -> int:
-        if spec[0]:  # terminal/cached spec: (1, node)
-            return spec[1]
-        key = spec[1]
-        entry = resolved[key]
-        entry[1] -= 1
-        if entry[1] == 0:
-            del resolved[key]
-        return entry[0]
-
-    # -- binary apply ---------------------------------------------------
-
-    def _apply(self, op: int, a: int, b: int) -> int:
-        r = self._apply_shortcut(op, a, b)
-        if r is not None:
-            return r
-        if op in (_OP_AND, _OP_OR, _OP_XOR) and a > b:
-            a, b = b, a
-        cached = self._apply_cache.get((op, a, b))
-        if cached is not None:
-            self.stats.op_hits[op] += 1
-            return cached
-        return self._sweep_binary(op, a, b)
-
-    def _binary_child_spec(self, op: int, x: int, y: int, pending: _SweepStore):
-        r = self._apply_shortcut(op, x, y)
-        if r is not None:
-            return (1, r)
-        if op in (_OP_AND, _OP_OR, _OP_XOR) and x > y:
-            x, y = y, x
-        r = self._apply_cache.get((op, x, y))
-        if r is not None:
-            self.stats.op_hits[op] += 1
-            return (1, r)
-        clv = min(self._level[x], self._level[y])
-        pending.push(clv, (x, y))
-        return (0, (clv, x, y))
-
-    def _sweep_binary(self, op: int, a: int, b: int) -> int:
+    def _sweep_open(self) -> dict:
         self._ooc["sweeps"] += 1
-        pending = _SweepStore(self)
-        plan = _SweepStore(self)
-        resolved: dict = {}
-        self._active_resolved.append(resolved)
-        try:
-            root_level = min(self._level[a], self._level[b])
-            pending.push(root_level, (a, b))
-            while True:
-                levels = pending.levels()
-                if not levels:
-                    break
-                level = levels[0]
-                self._mark("down", level)
-                agg: Dict[Tuple[int, int], int] = {}
-                for key in pending.pop_level(level):
-                    agg[key] = agg.get(key, 0) + 1
-                rows = []
-                lv_arr, lo_arr, hi_arr = self._level, self._low, self._high
-                for (x, y), count in agg.items():
-                    self.stats.op_misses[op] += 1
-                    if lv_arr[x] == level:
-                        x0, x1 = lo_arr[x], hi_arr[x]
-                    else:
-                        x0 = x1 = x
-                    if lv_arr[y] == level:
-                        y0, y1 = lo_arr[y], hi_arr[y]
-                    else:
-                        y0 = y1 = y
-                    rows.append(
-                        (
-                            x,
-                            y,
-                            count,
-                            self._binary_child_spec(op, x0, y0, pending),
-                            self._binary_child_spec(op, x1, y1, pending),
-                        )
-                    )
-                plan.extend(level, rows)
-                self._note_resident()
-            for level in reversed(plan.levels()):
-                self._mark("up", level)
-                for x, y, count, lo_spec, hi_spec in plan.pop_level(level):
-                    lo = self._take(resolved, lo_spec)
-                    hi = self._take(resolved, hi_spec)
-                    node = self.mk(level, lo, hi)
-                    self._cache_store(self._apply_cache, (op, x, y), node)
-                    resolved[(level, x, y)] = [node, count]
-                self._note_resident()
-            return resolved[(root_level, a, b)][0]
-        finally:
-            self._active_resolved.remove(resolved)
-            pending.close()
-            plan.close()
-
-    def apply_not(self, a: int) -> int:
-        # NOT a == a XOR TRUE: sharing the streaming binary engine
-        # keeps complement iterative too (the reference recursion is
-        # depth-bounded by the variable count, which an out-of-core
-        # table can exceed by orders of magnitude).
-        if a == FALSE:
-            return TRUE
-        if a == TRUE:
-            return FALSE
-        cached = self._not_cache.get(a)
-        if cached is not None:
-            self.stats.not_hits += 1
-            return cached
-        self.stats.not_misses += 1
-        result = self._apply(_OP_XOR, a, TRUE)
-        return self._cache_store(self._not_cache, a, result)
-
-    # -- exist ----------------------------------------------------------
-
-    def _exist(self, a: int, levels: Tuple[int, ...]) -> int:
-        spec = self._exist_child_spec(a, levels, None)
-        if spec[0]:
-            return spec[1]
-        return self._sweep_exist(spec[1])
-
-    def _exist_child_spec(
-        self, c: int, levels: Tuple[int, ...], pending: Optional[_SweepStore]
-    ):
-        if c <= TRUE:
-            return (1, c)
-        lc = self._level[c]
-        idx = 0
-        while idx < len(levels) and levels[idx] < lc:
-            idx += 1
-        levels = levels[idx:]
-        if not levels:
-            return (1, c)
-        cached = self._exist_cache.get((c, levels))
-        if cached is not None:
-            self.stats.exist_hits += 1
-            return (1, cached)
-        if pending is not None:
-            pending.push(lc, (c, levels))
-        return (0, (lc, c, levels))
-
-    def _sweep_exist(self, root_key) -> int:
-        self._ooc["sweeps"] += 1
-        pending = _SweepStore(self)
-        plan = _SweepStore(self)
-        resolved: dict = {}
-        self._active_resolved.append(resolved)
-        try:
-            root_level, root_a, root_lv = root_key
-            pending.push(root_level, (root_a, root_lv))
-            while True:
-                present = pending.levels()
-                if not present:
-                    break
-                level = present[0]
-                self._mark("down", level)
-                agg: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-                for key in pending.pop_level(level):
-                    agg[key] = agg.get(key, 0) + 1
-                rows = []
-                for (node, lv), count in agg.items():
-                    self.stats.exist_misses += 1
-                    rows.append(
-                        (
-                            node,
-                            lv,
-                            count,
-                            level == lv[0],
-                            self._exist_child_spec(self._low[node], lv, pending),
-                            self._exist_child_spec(self._high[node], lv, pending),
-                        )
-                    )
-                plan.extend(level, rows)
-                self._note_resident()
-            for level in reversed(plan.levels()):
-                self._mark("up", level)
-                for node, lv, count, quantified, lo_spec, hi_spec in plan.pop_level(
-                    level
-                ):
-                    lo = self._take(resolved, lo_spec)
-                    hi = self._take(resolved, hi_spec)
-                    if quantified:
-                        result = self.apply_or(lo, hi)
-                    else:
-                        result = self.mk(level, lo, hi)
-                    self._cache_store(self._exist_cache, (node, lv), result)
-                    resolved[(level, node, lv)] = [result, count]
-                self._note_resident()
-            return resolved[root_key][0]
-        finally:
-            self._active_resolved.remove(resolved)
-            pending.close()
-            plan.close()
-
-    # -- fused and_exist ------------------------------------------------
-
-    def _and_exist(self, a: int, b: int, levels: Tuple[int, ...]) -> int:
-        spec = self._and_exist_child_spec(a, b, levels, None)
-        if spec[0]:
-            return spec[1]
-        return self._sweep_and_exist(spec[1])
-
-    def _and_exist_child_spec(
-        self, a: int, b: int, levels: Tuple[int, ...], pending: Optional[_SweepStore]
-    ):
-        if a == FALSE or b == FALSE:
-            return (1, FALSE)
-        if a == TRUE and b == TRUE:
-            return (1, TRUE)
-        top = min(self._level[a], self._level[b])
-        idx = 0
-        while idx < len(levels) and levels[idx] < top:
-            idx += 1
-        levels = levels[idx:]
-        if not levels:
-            return (1, self._apply(_OP_AND, a, b))
-        if a > b:  # AND is commutative
-            a, b = b, a
-        cached = self._and_exist_cache.get((a, b, levels))
-        if cached is not None:
-            self.stats.and_exist_hits += 1
-            return (1, cached)
-        if pending is not None:
-            pending.push(top, (a, b, levels))
-        return (0, (top, a, b, levels))
-
-    def _sweep_and_exist(self, root_key) -> int:
-        self._ooc["sweeps"] += 1
-        pending = _SweepStore(self)
-        plan = _SweepStore(self)
-        resolved: dict = {}
-        self._active_resolved.append(resolved)
-        try:
-            root_level, root_a, root_b, root_lv = root_key
-            pending.push(root_level, (root_a, root_b, root_lv))
-            while True:
-                present = pending.levels()
-                if not present:
-                    break
-                level = present[0]
-                self._mark("down", level)
-                agg: Dict[Tuple[int, int, Tuple[int, ...]], int] = {}
-                for key in pending.pop_level(level):
-                    agg[key] = agg.get(key, 0) + 1
-                rows = []
-                lv_arr, lo_arr, hi_arr = self._level, self._low, self._high
-                for (a, b, lv), count in agg.items():
-                    self.stats.and_exist_misses += 1
-                    if lv_arr[a] == level:
-                        a0, a1 = lo_arr[a], hi_arr[a]
-                    else:
-                        a0 = a1 = a
-                    if lv_arr[b] == level:
-                        b0, b1 = lo_arr[b], hi_arr[b]
-                    else:
-                        b0 = b1 = b
-                    rows.append(
-                        (
-                            a,
-                            b,
-                            lv,
-                            count,
-                            level == lv[0],
-                            self._and_exist_child_spec(a0, b0, lv, pending),
-                            self._and_exist_child_spec(a1, b1, lv, pending),
-                        )
-                    )
-                plan.extend(level, rows)
-                self._note_resident()
-            for level in reversed(plan.levels()):
-                self._mark("up", level)
-                for a, b, lv, count, quantified, lo_spec, hi_spec in plan.pop_level(
-                    level
-                ):
-                    lo = self._take(resolved, lo_spec)
-                    hi = self._take(resolved, hi_spec)
-                    if quantified:
-                        result = TRUE if lo == TRUE else self.apply_or(lo, hi)
-                    else:
-                        result = self.mk(level, lo, hi)
-                    self._cache_store(self._and_exist_cache, (a, b, lv), result)
-                    resolved[(level, a, b, lv)] = [result, count]
-                self._note_resident()
-            return resolved[root_key][0]
-        finally:
-            self._active_resolved.remove(resolved)
-            pending.close()
-            plan.close()
-
-    # -- replace --------------------------------------------------------
-
-    def replace(self, a: int, permutation: Dict[int, int]) -> int:
-        perm_vars = {k: v for k, v in permutation.items() if k != v}
-        if not perm_vars:
-            return a
-        if len(set(perm_vars.values())) != len(perm_vars):
-            raise BDDError("replace permutation must be injective")
-        perm: Dict[int, int] = {}
-        for old, new in perm_vars.items():
-            self._check_var(old)
-            self._check_var(new)
-            perm[self._level_at_var[old]] = self._level_at_var[new]
-        key_perm = tuple(sorted(perm.items()))
-        if self.is_terminal(a):
-            return a
-        cached = self._replace_cache.get((a, key_perm))
-        if cached is not None:
-            self.stats.replace_hits += 1
-            return cached
-        self._ooc["sweeps"] += 1
-        pending = _SweepStore(self)
-        plan = _SweepStore(self)
-        resolved: dict = {}
-        self._active_resolved.append(resolved)
-        try:
-            root_level = self._level[a]
-            pending.push(root_level, a)
-            while True:
-                present = pending.levels()
-                if not present:
-                    break
-                level = present[0]
-                self._mark("down", level)
-                agg: Dict[int, int] = {}
-                for node in pending.pop_level(level):
-                    agg[node] = agg.get(node, 0) + 1
-                rows = []
-                for node, count in agg.items():
-                    self.stats.replace_misses += 1
-                    rows.append(
-                        (
-                            node,
-                            count,
-                            self._replace_child_spec(
-                                self._low[node], key_perm, pending
-                            ),
-                            self._replace_child_spec(
-                                self._high[node], key_perm, pending
-                            ),
-                        )
-                    )
-                plan.extend(level, rows)
-                self._note_resident()
-            for level in reversed(plan.levels()):
-                self._mark("up", level)
-                new_level = perm.get(level, level)
-                for node, count, lo_spec, hi_spec in plan.pop_level(level):
-                    lo = self._take(resolved, lo_spec)
-                    hi = self._take(resolved, hi_spec)
-                    # Recompose through ITE on the *target* variable so
-                    # order-changing permutations stay correct — the
-                    # same lowering as the reference kernel.
-                    result = self.ite(self._var_bdd_at(new_level), hi, lo)
-                    self._cache_store(
-                        self._replace_cache, (node, key_perm), result
-                    )
-                    resolved[(level, node)] = [result, count]
-                self._note_resident()
-            return resolved[(root_level, a)][0]
-        finally:
-            self._active_resolved.remove(resolved)
-            pending.close()
-            plan.close()
-
-    def _replace_child_spec(self, c: int, key_perm, pending: _SweepStore):
-        if c <= TRUE:
-            return (1, c)
-        cached = self._replace_cache.get((c, key_perm))
-        if cached is not None:
-            self.stats.replace_hits += 1
-            return (1, cached)
-        lc = self._level[c]
-        pending.push(lc, c)
-        return (0, (lc, c))
+        return {}
 
     # -- reordering -----------------------------------------------------
 

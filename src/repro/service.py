@@ -38,6 +38,7 @@ import io
 import json
 import socket
 import threading
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 from repro import telemetry
@@ -75,17 +76,31 @@ class _WireCache:
     relation's content under a fixed schema, so tuple listings (and the
     binary encodings inside checkpoints) can be reused verbatim until
     the relation actually changes — the common case for a standing
-    query read repeatedly between updates.
+    query read repeatedly between updates.  A root id is only an
+    identity until the next garbage collection, which may free the root
+    and hand its id to a new relation, so every entry is dropped when
+    the manager of a cached relation collects (or is itself freed).
     """
 
     def __init__(self) -> None:
         self._entries: Dict[Tuple[int, int, tuple], object] = {}
+        self._watched: "weakref.WeakSet" = weakref.WeakSet()
         self.hits = 0
         self.misses = 0
 
+    def _key(self, rel: Relation, kind: str) -> Tuple[int, int, tuple]:
+        manager = rel.universe.manager
+        if manager not in self._watched:
+            self._watched.add(manager)
+            manager.gc_listeners.append(self._drop)
+            weakref.finalize(manager, self._entries.clear)
+        return (id(manager), rel.node, (kind,) + tuple(rel.schema.names()))
+
+    def _drop(self, seconds: float, freed: int) -> None:
+        self._entries.clear()
+
     def get(self, rel: Relation, kind: str):
-        key = (id(rel.universe), rel.node, (kind,) + tuple(rel.schema.names()))
-        value = self._entries.get(key)
+        value = self._entries.get(self._key(rel, kind))
         if value is not None:
             self.hits += 1
         else:
@@ -93,8 +108,7 @@ class _WireCache:
         return value
 
     def put(self, rel: Relation, kind: str, value) -> None:
-        key = (id(rel.universe), rel.node, (kind,) + tuple(rel.schema.names()))
-        self._entries[key] = value
+        self._entries[self._key(rel, kind)] = value
 
 
 class _UniverseSession:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.bdd import FALSE, TRUE, BDDManager
+from repro.bdd import arena
 from repro.bdd.arena import ArenaBDDManager
 from repro.bdd.io import dumps_diagram_binary
 
@@ -48,16 +49,15 @@ def assert_forest_equal(m_ref, pool_ref, m_arena, pool_arena):
 
 
 @pytest.mark.parametrize("capacity", [4, 8])
-def test_table_resize_mid_apply(capacity):
+def test_table_resize_mid_apply(capacity, monkeypatch):
     """Node arrays must grow (reallocate) many times inside running
     operations without stale-array reads corrupting results."""
     n_vars = 12
     rng_r = random.Random(7)
     rng_a = random.Random(7)
     m_ref = BDDManager(num_vars=n_vars)
-    m_arena = ArenaBDDManager(
-        num_vars=n_vars, initial_capacity=capacity, vector_threshold=4
-    )
+    monkeypatch.setattr(arena, "_VECTOR_THRESHOLD", 4)
+    m_arena = ArenaBDDManager(num_vars=n_vars, initial_capacity=capacity)
     pool_ref = random_forest(m_ref, rng_r, n_vars)
     pool_arena = random_forest(m_arena, rng_a, n_vars)
     assert m_arena._capacity > capacity  # growth actually happened
@@ -116,25 +116,25 @@ def test_empty_and_constant_operands():
     assert len(m._apply_many(_OP_AND, empty, empty)) == 0
 
 
-def test_cache_limit_eviction_parity():
+def test_cache_limit_eviction_parity(monkeypatch):
     """A tiny cache_limit forces evictions mid-run on both kernels;
     results must still be canonical and identical."""
     n_vars = 10
     rng_r = random.Random(11)
     rng_a = random.Random(11)
     m_ref = BDDManager(num_vars=n_vars, cache_limit=64)
-    m_arena = ArenaBDDManager(
-        num_vars=n_vars, cache_limit=64, vector_threshold=4
-    )
+    monkeypatch.setattr(arena, "_VECTOR_THRESHOLD", 4)
+    m_arena = ArenaBDDManager(num_vars=n_vars, cache_limit=64)
     pool_ref = random_forest(m_ref, rng_r, n_vars, rounds=120)
     pool_arena = random_forest(m_arena, rng_a, n_vars, rounds=120)
     assert_forest_equal(m_ref, pool_ref, m_arena, pool_arena)
 
 
-def test_gc_then_reuse_slots():
+def test_gc_then_reuse_slots(monkeypatch):
     """Freed slots are recycled by both scalar mk and mk_many without
     leaving stale unique-table or level-index entries behind."""
-    m = ArenaBDDManager(num_vars=8, initial_capacity=8, vector_threshold=4)
+    monkeypatch.setattr(arena, "_VECTOR_THRESHOLD", 4)
+    m = ArenaBDDManager(num_vars=8, initial_capacity=8)
     rng = random.Random(5)
     for round_ in range(6):
         pool = random_forest(m, rng, 8, rounds=30)
@@ -148,12 +148,13 @@ def test_gc_then_reuse_slots():
         m.check_integrity()
 
 
-def test_sift_after_lazy_index_rebuild():
+def test_sift_after_lazy_index_rebuild(monkeypatch):
     """Sifting must see a correct level index and parent counters even
     though the hot path never maintains them (lazy rebuild on entry)."""
     n_vars = 8
     rng = random.Random(13)
-    m = ArenaBDDManager(num_vars=n_vars, vector_threshold=4)
+    monkeypatch.setattr(arena, "_VECTOR_THRESHOLD", 4)
+    m = ArenaBDDManager(num_vars=n_vars)
     pool = random_forest(m, rng, n_vars, rounds=40)
     held = [m.ref(n) for n in pool]
     before = [dumps_diagram_binary(m, n) for n in pool]
@@ -167,11 +168,12 @@ def test_sift_after_lazy_index_rebuild():
         m.deref(h)
 
 
-def test_swap_levels_interleaved_with_batches():
+def test_swap_levels_interleaved_with_batches(monkeypatch):
     """Adjacent swaps between batched operations: the lazily rebuilt
     index must stay coherent across repeated enter/exit cycles."""
     n_vars = 6
-    m = ArenaBDDManager(num_vars=n_vars, vector_threshold=2)
+    monkeypatch.setattr(arena, "_VECTOR_THRESHOLD", 2)
+    m = ArenaBDDManager(num_vars=n_vars)
     rng = random.Random(17)
     pool = random_forest(m, rng, n_vars, rounds=20)
     held = [m.ref(n) for n in pool]

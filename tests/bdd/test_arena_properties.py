@@ -9,10 +9,8 @@ oracle than sampling assignments.
 
 Covered here:
 
-- unique-table semantics: ``mk`` / ``mk_many`` idempotence and the
-  :class:`~repro.bdd.arena.VectorTable` batch primitives against a
-  model dict;
-- frontier-batched ``apply`` (both the scalar and vector bucket paths)
+- unique-table semantics: ``mk`` / ``mk_many`` idempotence;
+- frontier-batched ``apply`` (both the row and numpy bucket paths)
   against the reference recursion on random operand forests;
 - ``exist`` over random variable sets;
 - wire round-trips reference -> arena -> reference;
@@ -26,7 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bdd import FALSE, TRUE, BDDManager
-from repro.bdd.arena import _RECURSION_SAFE_VARS, ArenaBDDManager, VectorTable
+from repro.bdd import arena
+from repro.bdd.arena import _RECURSION_SAFE_VARS, ArenaBDDManager
 from repro.bdd.io import dumps_diagram_binary, loads_diagram_binary
 
 N_VARS = 6
@@ -147,10 +146,12 @@ def test_apply_many_matches_scalar(pairs, op):
     from repro.bdd.manager import _OP_AND, _OP_DIFF, _OP_OR, _OP_XOR
 
     opc = {"and": _OP_AND, "or": _OP_OR, "diff": _OP_DIFF, "xor": _OP_XOR}[op]
-    m = ArenaBDDManager(num_vars=N_VARS, vector_threshold=2)
+    m = ArenaBDDManager(num_vars=N_VARS)
     A = np.array([build(m, a) for a, _ in pairs], dtype=np.int64)
     B = np.array([build(m, b) for _, b in pairs], dtype=np.int64)
-    batch = m._apply_many(opc, A, B)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arena, "_VECTOR_THRESHOLD", 2)
+        batch = m._apply_many(opc, A, B)
     fn = {
         "and": m.apply_and, "or": m.apply_or,
         "diff": m.apply_diff, "xor": m.apply_xor,
@@ -182,45 +183,6 @@ def test_mk_many_idempotent(triples):
     assert first.tolist() == again.tolist()
     for l, h, got in zip(lo.tolist(), hi.tolist(), first.tolist()):
         assert got == m.mk(level, l, h)
-
-
-# ----------------------------------------------------------------------
-# VectorTable model fuzz
-# ----------------------------------------------------------------------
-
-keys3 = st.tuples(
-    st.integers(min_value=0, max_value=1 << 20),
-    st.integers(min_value=0, max_value=1 << 20),
-    st.integers(min_value=0, max_value=1 << 20),
-)
-
-
-@settings(deadline=None, max_examples=60)
-@given(
-    ops=st.lists(
-        st.tuples(keys3, st.integers(min_value=0, max_value=1 << 30)),
-        min_size=1,
-        max_size=200,
-    )
-)
-def test_vector_table_matches_dict(ops):
-    """Scalar and batch VectorTable primitives against a model dict."""
-    table = VectorTable(capacity=8)
-    model = {}
-    for key, value in ops:
-        if table.get3(*key) == -1:
-            table.set3(*key, value)
-        model.setdefault(key, value)
-    for key, value in model.items():
-        assert table.get3(*key) == value
-    # Batch lookup over every key plus some misses.
-    keys = list(model) + [(k1 + 1, k2, k3) for k1, k2, k3 in model]
-    k1 = np.array([k[0] for k in keys], dtype=np.int64)
-    k2 = np.array([k[1] for k in keys], dtype=np.int64)
-    k3 = np.array([k[2] for k in keys], dtype=np.int64)
-    got = table.lookup(k1, k2, k3)
-    for key, value in zip(keys, got.tolist()):
-        assert value == model.get(key, -1)
 
 
 # ----------------------------------------------------------------------

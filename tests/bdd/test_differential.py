@@ -430,7 +430,7 @@ def test_kernel_stress_chains(reorder):
     """Longer chains aimed at the arena and ooc kernels' machinery.
 
     Same five-way harness, but with enough operations per chain that
-    frontiers widen past ``vector_threshold`` (so the arena's vector
+    frontiers widen past ``_VECTOR_THRESHOLD`` (so the arena's vector
     paths, not just the narrow scalar fallbacks, carry real traffic)
     and the ooc kernel's streaming sweeps process deep request queues.
     """

@@ -12,10 +12,12 @@ unique to the out-of-core design:
   against a model dict built by replaying the runs oldest-first;
 - :class:`SpillableUniqueTable` under a tiny byte budget (so real
   flushes and merges happen mid-fuzz) against a model dict;
-- the time-forward-processing invariant, observed through the
-  manager's sweep trace: every binary-apply sweep visits levels
-  strictly ascending on the way down and strictly descending on the
-  way back up, and reduces exactly the levels it requested;
+- the time-forward-processing invariant of the sweep driver shared
+  with the arena kernel, observed through the manager's sweep trace:
+  every apply / replace / exist / and_exist sweep (nested ones too)
+  visits levels strictly ascending on the way down and strictly
+  descending on the way back up, and reduces exactly the levels it
+  requested;
 - JDDB wire round-trips of *spilled* diagrams (tiny
   ``memory_cap_bytes`` so the node table lives partly in sorted runs
   and evicted pages while being serialized), including dumps taken
@@ -277,29 +279,56 @@ def test_spillable_unique_table_matches_dict(ops):
 # Time-forward-processing sweep order
 # ----------------------------------------------------------------------
 
+def _sweep_kernels(cap):
+    """Every kernel on the shared sweep driver.  The arena manager is
+    deeper than its recursion gate, so narrow calls sweep too."""
+    from repro.bdd.arena import _RECURSION_SAFE_VARS, ArenaBDDManager
+
+    yield OocBDDManager(num_vars=N_VARS, memory_cap_bytes=cap)
+    yield ArenaBDDManager(num_vars=_RECURSION_SAFE_VARS + 1)
+
+
 @settings(deadline=None, max_examples=60)
-@given(e1=exprs, e2=exprs, cap=st.sampled_from([None, TINY_CAP]))
-def test_sweep_levels_ascend_then_descend(e1, e2, cap):
-    """A binary-apply sweep is one downward pass over strictly
-    ascending levels followed by one upward pass over the same levels
-    strictly descending -- the invariant that makes the request queue
-    streamable (a request never targets a level already passed)."""
-    m = OocBDDManager(num_vars=N_VARS, memory_cap_bytes=cap)
-    a = build(m, e1)
-    b = build(m, e2)
-    with m._trace() as trace:
-        m.apply_and(a, b)
-    if not trace:  # terminal shortcut or operation-cache hit
-        return
-    down = [lv for phase, lv in trace if phase == "down"]
-    up = [lv for phase, lv in trace if phase == "up"]
-    # One contiguous down segment, then one contiguous up segment.
-    assert [p for p, _ in trace] == ["down"] * len(down) + ["up"] * len(up)
-    assert down == sorted(down) and len(set(down)) == len(down)
-    assert up == sorted(up, reverse=True) and len(set(up)) == len(up)
-    # The reduce pass resolves exactly the levels the request pass
-    # visited.
-    assert set(down) == set(up)
+@given(
+    e1=exprs,
+    e2=exprs,
+    cap=st.sampled_from([None, TINY_CAP]),
+    op=st.sampled_from(["apply", "replace", "exist", "and_exist"]),
+    vs=st.sets(st.integers(min_value=0, max_value=N_VARS - 1), min_size=1),
+    perm=st.permutations(range(N_VARS)),
+)
+def test_sweep_levels_ascend_then_descend(e1, e2, cap, op, vs, perm):
+    """Every sweep is one downward pass over strictly ascending levels
+    followed by one upward pass over the same levels strictly
+    descending -- the invariant that makes the request queue streamable
+    (a request never targets a level already passed).  Nested sweeps
+    (the ORs that exist and and_exist combine quantified levels with)
+    are told apart by the trace's per-sweep tag and checked alike."""
+    pytest.importorskip("numpy")
+    for m in _sweep_kernels(cap):
+        a = build(m, e1)
+        b = build(m, e2)
+        run = {
+            "apply": lambda: m.apply_and(a, b),
+            "replace": lambda: m.replace(a, dict(enumerate(perm))),
+            "exist": lambda: m.exist(a, vs),
+            "and_exist": lambda: m.and_exist(a, b, vs),
+        }[op]
+        with m._trace() as trace:
+            run()
+        sweeps = {}
+        for tag, phase, level in trace:
+            sweeps.setdefault(tag, []).append((phase, level))
+        for steps in sweeps.values():
+            down = [lv for phase, lv in steps if phase == "down"]
+            up = [lv for phase, lv in steps if phase == "up"]
+            # One contiguous down segment, then one contiguous up segment.
+            assert [p for p, _ in steps] == ["down"] * len(down) + ["up"] * len(up)
+            assert down == sorted(down) and len(set(down)) == len(down)
+            assert up == sorted(up, reverse=True) and len(set(up)) == len(up)
+            # The reduce pass resolves exactly the levels the request
+            # pass visited.
+            assert set(down) == set(up)
 
 
 # ----------------------------------------------------------------------

@@ -10,10 +10,13 @@ import threading
 import pytest
 
 from repro import telemetry
+from repro.relations import Relation, Universe
 from repro.service import (
     PROTOCOL_VERSION,
+    JeddService,
     ServiceClient,
     ServiceError,
+    _UniverseSession,
     start_in_thread,
 )
 
@@ -176,6 +179,24 @@ class TestStandingQueries:
             "query.get", universe="sq4", query="tc", relation="path"
         )["wire_cache"]
         assert wire["hits"] >= 1
+
+    def test_wire_cache_forgets_roots_freed_by_gc(self):
+        """After a collection a new relation can take a dead root's node
+        id; its rows must not be served from the dead one's entry."""
+        u = Universe(ordering="sequential")
+        dom = u.domain("D", 2)
+        u.attribute("a", dom)
+        u.physical_domain("P", dom.bits)
+        u.finalize()
+        session = _UniverseSession("wire")
+        first = Relation.from_tuples(u, ["a"], [("x",)])
+        dead_root = first.node
+        assert JeddService._tuples(first, session) == [["x"]]
+        first.dispose()
+        u.manager.gc()
+        second = Relation.from_tuples(u, ["a"], [("y",)])
+        assert second.node == dead_root
+        assert JeddService._tuples(second, session) == [["y"]]
 
     def test_query_results_published_to_shell(self, client):
         standing_tc(client, "sq5")
