@@ -74,11 +74,12 @@ def test_table2_all_rows():
         high = PointsTo(au)
         high.solve()
         assert low.pt_tuples() == set(high.pt.tuples())
-    # Shape: the Jedd version is never more than ~2x the hand-coded one
+    # Shape: the Jedd version is never more than 2x the hand-coded one
     # (the paper reports single-digit percent; pure-Python bookkeeping
     # costs more than a JVM's presence, but both must stay same-order).
+    # Ten consecutive runs on a 2-core box needed factors of 1.15-1.58.
     for name in BENCHMARKS:
-        assert jedd_times[name] < 2.5 * lowlevel_times[name] + 0.05
+        assert jedd_times[name] < 2.0 * lowlevel_times[name] + 0.05
     # Shape: bigger benchmarks cost more (monotone up the suite ends).
     assert jedd_times["jedit"] > jedd_times["javac-s"]
 

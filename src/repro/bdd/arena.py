@@ -21,7 +21,9 @@ Layout
   ``_high``, ``_refs``, ``_parents``) with amortised-doubling growth; a
   node id indexes all five.  Terminals stay at ids 0/1.  The unique
   table and the operation caches are plain dicts (at realistic frontier
-  widths a batch of dict probes beats open-addressed numpy probing).
+  widths a batch of dict probes beats open-addressed numpy probing):
+  one unique dict per level and one cache dict per op on the wide
+  path, keyed by the packed pair ``x << 32 | y`` computed in numpy.
 - Sweeps: ``apply``, ``ite_var``, ``exist``, ``and_exist`` and
   ``replace`` run on the driver shared with the out-of-core kernel
   (:mod:`repro.bdd.sweep`), with in-memory level queues.  This module
@@ -49,7 +51,6 @@ from collections import namedtuple
 from functools import partial
 from itertools import repeat
 from time import perf_counter
-from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,6 +67,7 @@ from repro.bdd.manager import (
 from repro.bdd.sweep import (
     AndExistSpec,
     ApplySpec,
+    ExistSpec,
     IteVarSpec,
     ReplaceSpec,
     SweepKernel,
@@ -87,9 +89,6 @@ _RECURSION_SAFE_VARS = 400
 #: path; per-element numpy overhead dominates narrower ones.
 _VECTOR_THRESHOLD = 32
 
-
-#: A level queue for depth-first callers of ``Spec.child``: drops rows.
-_DISCARD = SimpleNamespace(push=lambda level, row: None)
 
 #: Plan record of a level expanded as arrays: the distinct requests
 #: ``(x, y)`` in the order of their sorted keys ``x << 32 | y``, and per
@@ -116,6 +115,51 @@ class _Resolved(dict):
         # A count that never reaches zero: wide results are not dropped.
         entry = self[key] = [res.item(keys.searchsorted((x << 32) | y)), -1]
         return entry
+
+
+class _LevelUnique:
+    """The arena's unique table: one dict per level, keyed by the packed
+    child pair ``low << 32 | high``.  ``mk_many`` computes the keys of a
+    whole batch in numpy, and a packed int hashes much faster than a
+    ``(level, low, high)`` tuple.  The tuple-keyed mapping methods serve
+    the inherited reordering and integrity code."""
+
+    __slots__ = ("tables",)
+
+    def __init__(self, num_levels: int) -> None:
+        self.tables: List[Dict[int, int]] = [{} for _ in range(num_levels)]
+
+    def __len__(self) -> int:
+        return sum(map(len, self.tables))
+
+    def get(self, key, default=None):
+        level, lo, hi = key
+        return self.tables[level].get((int(lo) << 32) | int(hi), default)
+
+    def __setitem__(self, key, node: int) -> None:
+        level, lo, hi = key
+        self.tables[level][(int(lo) << 32) | int(hi)] = int(node)
+
+    def __delitem__(self, key) -> None:
+        level, lo, hi = key
+        del self.tables[level][(int(lo) << 32) | int(hi)]
+
+    def rebuild(self, nodes: np.ndarray, level, low, high) -> None:
+        """Hold exactly ``nodes`` (cheaper than deleting the dead keys
+        when, as after most collections, most of the table is dead)."""
+        tables: List[Dict[int, int]] = [{} for _ in self.tables]
+        if nodes.size:
+            lv = level[nodes]
+            order = np.argsort(lv, kind="stable")
+            nodes = nodes[order]
+            keys = (low[nodes] << 32) | high[nodes]
+            levels, starts = np.unique(lv[order], return_index=True)
+            cuts = starts[1:]
+            for lvl, k, n in zip(
+                levels.tolist(), np.split(keys, cuts), np.split(nodes, cuts)
+            ):
+                tables[lvl] = dict(zip(k.tolist(), n.tolist()))
+        self.tables = tables
 
 
 class ArenaBDDManager(SweepKernel):
@@ -165,12 +209,14 @@ class ArenaBDDManager(SweepKernel):
         self._refs = np.zeros(cap, _I64)
         self._refs[FALSE] = self._refs[TRUE] = 1
         self._parents = np.zeros(cap, _I64)
-        # The unique table stays a Python dict: profiling shows dict probes
+        # The unique table stays Python dicts: profiling shows dict probes
         # (~0.15us) beat open-addressed numpy probing both for the scalar
         # mk() path and for batch lookups at realistic frontier widths
-        # (tens to a few thousand); mk_many still batches the reduce,
-        # duplicate-collapse, and store-column writes as vector ops.
-        self._unique: Dict[Tuple[int, int, int], int] = {}
+        # (tens to a few thousand); mk_many still batches the key packing,
+        # reduce, duplicate-collapse, and store-column writes as vector ops.
+        self._unique = _LevelUnique(num_vars)
+        # The wide path's operation caches (see _wide_cache).
+        self._wide_caches: Dict[tuple, Dict[int, int]] = {}
         # Frontier telemetry (satellite for the benchmark spans).
         self.frontier_levels = np.zeros(max(num_vars, 1), _I64)
         self.frontier_batches_vector = 0
@@ -199,6 +245,16 @@ class ArenaBDDManager(SweepKernel):
             "peak_live_nodes": self.stats.peak_live_nodes,
         }
 
+    def cache_stats(self) -> Dict[str, int]:
+        out = super().cache_stats()
+        for (name, _), cache in self._wide_caches.items():
+            out[name] += len(cache)
+        return out
+
+    def _clear_caches(self) -> None:
+        super()._clear_caches()
+        self._wide_caches.clear()
+
     def _reserve(self, need: int) -> None:
         if need <= self._capacity:
             return
@@ -225,8 +281,9 @@ class ArenaBDDManager(SweepKernel):
         level = int(level)
         low = int(low)
         high = int(high)
-        key = (level, low, high)
-        node = self._unique.get(key)
+        table = self._unique.tables[level]
+        key = (low << 32) | high
+        node = table.get(key)
         if node is not None:
             return node
         if self._free:
@@ -245,7 +302,7 @@ class ArenaBDDManager(SweepKernel):
             self._parents[low] += 1
             self._parents[high] += 1
             self._at_level[level].add(node)
-        self._unique[key] = node
+        table[key] = node
         self.stats.nodes_created += 1
         return node
 
@@ -260,27 +317,15 @@ class ArenaBDDManager(SweepKernel):
         if cnt == 0:
             return out
         level = int(level)
-        l2 = lo[ni]
-        h2 = hi[ni]
-        unique = self._unique
-        found = np.fromiter(
-            map(unique.get, zip(repeat(level), l2.tolist(), h2.tolist()), repeat(-1)),
-            _I64,
-            cnt,
-        )
+        table = self._unique.tables[level]
+        keys = (lo[ni] << 32) | hi[ni]
+        found = np.fromiter(map(table.get, keys.tolist(), repeat(-1)), _I64, cnt)
         miss = found < 0
         if miss.any():
-            ml = l2[miss]
-            mh = h2[miss]
             # Collapse duplicate (low, high) pairs within the batch.
-            key = (ml << 32) | mh
-            _, uidx, uinv = np.unique(key, return_index=True, return_inverse=True)
-            nl = ml[uidx]
-            nh = mh[uidx]
-            ids = self._alloc_many(level, nl, nh)
-            unique.update(
-                zip(zip(repeat(level), nl.tolist(), nh.tolist()), ids.tolist())
-            )
+            new, uinv = np.unique(keys[miss], return_inverse=True)
+            ids = self._alloc_many(level, new >> 32, new & 0xFFFFFFFF)
+            table.update(zip(new.tolist(), ids.tolist()))
             found[miss] = ids[uinv]
         out[ni] = found
         return out
@@ -292,7 +337,7 @@ class ArenaBDDManager(SweepKernel):
         free = self._free
         if free:
             k = min(len(free), n)
-            ids[:k] = [int(x) for x in free[-k:]]
+            ids[:k] = free[-k:]
             del free[-k:]
         m = n - k
         if m:
@@ -321,6 +366,7 @@ class ArenaBDDManager(SweepKernel):
         terminal = (lv == old_sentinel) & (self._low[:size] == -1)
         lv[terminal] = self._num_vars
         self._at_level.extend(set() for _ in range(count))
+        self._unique.tables.extend({} for _ in range(count))
         self._var_at_level.extend(range(old_sentinel, self._num_vars))
         self._level_at_var.extend(range(old_sentinel, self._num_vars))
         self._count_cache.clear()
@@ -388,22 +434,7 @@ class ArenaBDDManager(SweepKernel):
         # Like _apply: a shallow manager's narrow requests recurse.
         if self._num_vars > _RECURSION_SAFE_VARS:
             return super()._ite_vars(L, pairs)
-        spec = IteVarSpec(self, L)
-        return [self._ite_var(spec, f, g) for f, g in pairs]
-
-    def _ite_var(self, spec: IteVarSpec, f: int, g: int) -> int:
-        """``spec``'s request ``(f, g)``, depth first."""
-        r = spec.child(f, g, _DISCARD)
-        if type(r) is not tuple:
-            return r
-        lv, lo, hi = spec.lv, spec.lo, spec.hi
-        lf, lg = lv(f), lv(g)
-        t = lf if lf < lg else lg
-        f0, f1 = (lo(f), hi(f)) if lf == t else (f, f)
-        g0, g1 = (lo(g), hi(g)) if lg == t else (g, g)
-        spec.miss(1)
-        r = self.mk(t, self._ite_var(spec, f0, g0), self._ite_var(spec, f1, g1))
-        return self._cache_store(spec.cache, spec.key(f, g, t), r)
+        return [self._ite_var(L, f, g) for f, g in pairs]
 
     def _apply_many(self, op: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Batch ``_apply`` over request pairs: one sweep for all (one
@@ -505,35 +536,59 @@ class ArenaBDDManager(SweepKernel):
         top = lv[cx]  # unary: exist, replace
         return np.where(top > spec.last, cx, -1), cx, cy, top
 
-    def _probe(self, spec, cx: np.ndarray, cy: np.ndarray):
-        """Vector ``spec.child`` up to filing: the values (``-1`` where a
-        request remains), the positions of the remaining requests, the
-        normalized pairs and their top levels."""
-        val, cx, cy, top = self._classify(spec, cx, cy)
-        idx = np.flatnonzero(val < 0)
-        if idx.size and spec.cache is not None:
-            keys = spec.keys(cx[idx].tolist(), cy[idx].tolist(), top[idx].tolist())
-            got = np.fromiter(map(spec.cache.get, keys, repeat(-1)), _I64, idx.size)
-            hit = got >= 0
-            nhit = int(np.count_nonzero(hit))
-            if nhit:
-                spec.hit(nhit)
-                val[idx[hit]] = got[hit]
-                idx = idx[~hit]
-        return val, idx, cx, cy, top
+    def _wide_cache(self, spec, level: int) -> Dict[int, int]:
+        """The operation cache of ``spec``'s requests at ``level`` on the
+        wide path, keyed by the packed pair ``x << 32 | y``: one dict per
+        op (per quantified suffix for exist / and_exist), so a whole
+        level's keys are computed in numpy and hash as plain ints.  The
+        row path and the recursion keep the tuple-keyed caches; a request
+        computed on one side and asked on the other is recomputed, to the
+        same canonical node."""
+        kind = type(spec)
+        if kind is ApplySpec:
+            name = ("apply", spec.op)
+        elif kind is IteVarSpec:
+            name = ("apply", spec.opk)
+        elif kind is ExistSpec:
+            name = ("exist", spec.suffix[level])
+        else:
+            name = ("and_exist", spec.suffix[level])
+        cache = self._wide_caches.get(name)
+        if cache is None:
+            cache = self._wide_caches[name] = {}
+        return cache
 
     def _children(self, spec, cx: np.ndarray, cy: np.ndarray, pending):
-        """One branch of a wide level: the child values, and the requests
-        filed for the rest as ``(level, positions, xs, ys)`` groups."""
-        val, idx, cx, cy, top = self._probe(spec, cx, cy)
+        """One branch of a wide level (vector ``spec.child``): the child
+        values, and the requests filed for the rest (terminal cases and
+        cache hits aside) as ``(level, positions, xs, ys)`` groups."""
+        val, cx, cy, top = self._classify(spec, cx, cy)
+        idx = np.flatnonzero(val < 0)
         groups = []
         if idx.size:
             levels = top[idx]
             order = np.argsort(levels, kind="stable")
             cuts = np.flatnonzero(np.diff(levels[order])) + 1
+            cached = spec.cache is not None
             for pos in np.split(idx[order], cuts):
                 t = int(top[pos[0]])
                 px, py = cx[pos], cy[pos]
+                if cached:
+                    get = self._wide_cache(spec, t).get
+                    got = np.fromiter(
+                        map(get, ((px << 32) | py).tolist(), repeat(-1)),
+                        _I64,
+                        pos.size,
+                    )
+                    hit = got >= 0
+                    nhit = int(np.count_nonzero(hit))
+                    if nhit:
+                        spec.hit(nhit)
+                        val[pos[hit]] = got[hit]
+                        if nhit == pos.size:
+                            continue
+                        miss = ~hit
+                        pos, px, py = pos[miss], px[miss], py[miss]
                 pending.push(t, np.stack((px, py), axis=1))
                 groups.append((t, pos, px, py))
         return val, groups
@@ -550,13 +605,11 @@ class ArenaBDDManager(SweepKernel):
             r = self._apply_many(_OP_OR, lo, hi)
         else:
             r = self.mk_many(level, lo, hi)
-        cache = spec.cache
-        if cache is not None:
-            rs = r.tolist()
-            if self.cache_limit is not None and len(cache) + len(rs) > self.cache_limit:
+        if spec.cache is not None:
+            cache = self._wide_cache(spec, level)
+            if self.cache_limit is not None and len(cache) + len(r) > self.cache_limit:
                 cache.clear()
-            keys = spec.keys(rec.x.tolist(), rec.y.tolist(), repeat(level))
-            cache.update(zip(keys, rs))
+            cache.update(zip(rec.keys.tolist(), r.tolist()))
         resolved.wide[level] = (rec.keys, r)
 
     @staticmethod
@@ -858,13 +911,11 @@ class ArenaBDDManager(SweepKernel):
         dead = dead[dead > TRUE]
         freed = len(dead)
         if freed:
-            dlv = level[dead].copy()
-            dlo = low[dead].copy()
-            dhi = high[dead].copy()
-            unique = self._unique
-            for k in zip(dlv.tolist(), dlo.tolist(), dhi.tolist()):
-                del unique[k]
+            self._unique.rebuild(np.flatnonzero(marked), level, low, high)
             if self._track_levels:
+                dlv = level[dead]
+                dlo = low[dead]
+                dhi = high[dead]
                 for lv in np.unique(dlv):
                     self._at_level[int(lv)].difference_update(
                         dead[dlv == lv].tolist()

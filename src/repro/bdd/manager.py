@@ -52,6 +52,7 @@ by a reference count (see ``repro.relations.containers``).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import (
@@ -82,6 +83,11 @@ _OP_XOR = 3
 # Stats slot for simplify() probes (the apply cache holds them under a
 # private -1 tag, which cannot index the per-op counter lists).
 _OP_SIMPLIFY_STAT = 4
+#: Cache-key namespace for the fused variable-insertion op
+#: (:meth:`BDDManager._ite_var`): binary ops use codes 0-3, so keying
+#: its entries as ``(_ITEVAR_BASE + level, f, g)`` keeps them disjoint
+#: inside the shared apply cache.
+_ITEVAR_BASE = 8
 
 #: Op-tag names, in tag order, for :class:`KernelStats` per-op counters.
 _OP_NAMES = ("and", "or", "diff", "xor", "simplify")
@@ -188,8 +194,10 @@ class BDDManager:
         self._not_cache: Dict[int, int] = {}
         self._exist_cache: Dict[Tuple[int, Tuple[int, ...]], int] = {}
         self._and_exist_cache: Dict[Tuple[int, int, Tuple[int, ...]], int] = {}
-        self._replace_cache: Dict[Tuple[int, Tuple[Tuple[int, int], ...]], int] = {}
+        self._replace_cache: Dict[Tuple[int, int], int] = {}
         self._count_cache: Dict[Tuple[int, int], int] = {}
+        #: Interned level tuples (see :meth:`_intern`).
+        self._interned: Dict[tuple, int] = {}
         self.gc_threshold = gc_threshold
         #: Entry bound per operation cache (``None`` = unbounded).
         self.cache_limit = cache_limit
@@ -382,10 +390,6 @@ class BDDManager:
         self.stats.nodes_created += 1
         return node
 
-    def _var_bdd_at(self, level: int) -> int:
-        """The BDD testing the variable currently at ``level``."""
-        return self.mk(level, FALSE, TRUE)
-
     def var(self, var: int) -> int:
         """The BDD of the single variable with id ``var``."""
         self._check_var(var)
@@ -414,6 +418,63 @@ class BDDManager:
             else:
                 node = self.mk(level, node, FALSE)
         return node
+
+    def cube_union(self, assignments: Iterable[Dict[int, bool]]) -> int:
+        """The OR of the cubes of ``assignments``, built in one pass.
+
+        Every assignment must constrain the same variables (the bits of
+        one relation schema).  The distinct rows, as bit strings in level
+        order, are sorted and grouped by prefix from the deepest level
+        up, so each result node is a single ``mk``: no ``apply`` and no
+        throwaway per-row cubes.  Equal to folding :meth:`apply_or` over
+        :meth:`cube` of each row.
+        """
+        rows = iter(assignments)
+        first = next(rows, None)
+        if first is None:
+            return FALSE
+        for var in first:
+            self._check_var(var)
+        variables = sorted(first, key=self._level_at_var.__getitem__)
+        shared = first.keys()
+        keys = set()
+        for row in itertools.chain((first,), rows):
+            if row.keys() != shared:
+                raise BDDError(
+                    f"cube_union rows constrain different variables: "
+                    f"{sorted(row)} vs {sorted(shared)}"
+                )
+            key = 0
+            for var in variables:
+                key <<= 1
+                if row[var]:
+                    key |= 1
+            keys.add(key)
+        prefixes = sorted(keys)
+        nodes = [TRUE] * len(prefixes)
+        mk = self.mk
+        for var in reversed(variables):
+            # Merge each pair of sibling prefixes (bit 0 / bit 1 at this
+            # level) into their parent; sorting keeps siblings adjacent.
+            level = self._level_at_var[var]
+            up_prefixes: List[int] = []
+            up_nodes: List[int] = []
+            i, n = 0, len(prefixes)
+            while i < n:
+                prefix = prefixes[i]
+                if prefix & 1:
+                    node = mk(level, FALSE, nodes[i])
+                    i += 1
+                elif i + 1 < n and prefixes[i + 1] == prefix | 1:
+                    node = mk(level, nodes[i], nodes[i + 1])
+                    i += 2
+                else:
+                    node = mk(level, nodes[i], FALSE)
+                    i += 1
+                up_prefixes.append(prefix >> 1)
+                up_nodes.append(node)
+            prefixes, nodes = up_prefixes, up_nodes
+        return nodes[0]
 
     # ------------------------------------------------------------------
     # Boolean combinators
@@ -618,44 +679,95 @@ class BDDManager:
         of one physical domain to another, so the relation's tuples are
         unchanged but stored in different BDD variables.
 
-        The implementation recomposes via ITE so that permutations that
-        change the relative order of variables are handled correctly.
+        The rebuild is a level relabel (the monotone variable
+        substitution of Sølvsten & van de Pol): children first, then one
+        ``mk`` at the node's new level whenever that level stays above
+        both rebuilt children.  Only a node whose new variable sinks
+        below a child is rebuilt by :meth:`_ite_var`, so permutations
+        that change the relative order of variables stay correct.
+        Nodes below the deepest moved level are returned unchanged.
         """
-        perm_vars = {k: v for k, v in permutation.items() if k != v}
-        if not perm_vars:
+        perm = self._replace_levels(permutation)
+        if not perm:
             return a
-        if len(set(perm_vars.values())) != len(perm_vars):
-            raise BDDError("replace permutation must be injective")
-        perm: Dict[int, int] = {}
-        for old, new in perm_vars.items():
-            self._check_var(old)
-            self._check_var(new)
-            perm[self._level_at_var[old]] = self._level_at_var[new]
-        key_perm = tuple(sorted(perm.items()))
+        perm_id = self._intern(tuple(sorted(perm.items())))
+        last = max(perm)
+        level_of, low_of, high_of = self._level, self._low, self._high
+        cache = self._replace_cache
+        stats = self.stats
         memo: Dict[int, int] = {}
 
         def rec(node: int) -> int:
-            if self.is_terminal(node):
+            level = level_of[node]
+            if level > last:  # terminals sit below every level
                 return node
-            cached = self._replace_cache.get((node, key_perm))
-            if cached is not None:
-                self.stats.replace_hits += 1
-                return cached
             hit = memo.get(node)
             if hit is not None:
                 return hit
-            self.stats.replace_misses += 1
-            level = self._level[node]
-            new_level = perm.get(level, level)
-            low = rec(self._low[node])
-            high = rec(self._high[node])
-            result = self.ite(self._var_bdd_at(new_level), high, low)
+            key = (node, perm_id)
+            hit = cache.get(key)
+            if hit is not None:
+                stats.replace_hits += 1
+                return hit
+            stats.replace_misses += 1
+            new = perm.get(level, level)
+            low = rec(low_of[node])
+            high = rec(high_of[node])
+            if new < level_of[low] and new < level_of[high]:
+                result = self.mk(new, low, high)
+            else:
+                result = self._ite_var(new, low, high)
             memo[node] = result
-            return self._cache_store(
-                self._replace_cache, (node, key_perm), result
-            )
+            return self._cache_store(cache, key, result)
 
         return rec(a)
+
+    def _replace_levels(self, permutation: Dict[int, int]) -> Dict[int, int]:
+        """``permutation``'s moves as ``{old level: new level}``, with
+        identities dropped (empty for an identity permutation)."""
+        moves = {k: v for k, v in permutation.items() if k != v}
+        if len(set(moves.values())) != len(moves):
+            raise BDDError("replace permutation must be injective")
+        perm: Dict[int, int] = {}
+        for old, new in moves.items():
+            self._check_var(old)
+            self._check_var(new)
+            perm[self._level_at_var[old]] = self._level_at_var[new]
+        return perm
+
+    def _intern(self, items: tuple) -> int:
+        """A small id for a tuple of quantified levels or level moves, so
+        cache keys hash a few ints instead of the tuple."""
+        return self._interned.setdefault(items, len(self._interned))
+
+    def _ite_var(self, L: int, f: int, g: int) -> int:
+        """``ITE(variable at level L, g, f)``: insert level ``L`` above the
+        cofactors ``f`` (low) and ``g`` (high) in one descent, instead of
+        the three ``apply`` passes of ``OR(AND(v, g), DIFF(f, v))``.
+        Cached in the apply cache under the tag ``_ITEVAR_BASE + L``."""
+        if f == g:
+            return f
+        level_of = self._level
+        lf, lg = level_of[f], level_of[g]
+        t = lf if lf < lg else lg
+        if t > L:
+            return self.mk(L, f, g)
+        if t == L:
+            return self.mk(
+                L,
+                self._low[f] if lf == L else f,
+                self._high[g] if lg == L else g,
+            )
+        key = (_ITEVAR_BASE + L, f, g)
+        cached = self._apply_cache.get(key)
+        if cached is not None:
+            self.stats.replace_hits += 1
+            return cached
+        self.stats.replace_misses += 1
+        f0, f1 = (self._low[f], self._high[f]) if lf == t else (f, f)
+        g0, g1 = (self._low[g], self._high[g]) if lg == t else (g, g)
+        result = self.mk(t, self._ite_var(L, f0, g0), self._ite_var(L, f1, g1))
+        return self._cache_store(self._apply_cache, key, result)
 
     def simplify(self, f: int, care: int) -> int:
         """Coudert-Madre restrict: minimise ``f`` against a care set.

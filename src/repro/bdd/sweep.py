@@ -36,26 +36,20 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from contextlib import contextmanager
-from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 from repro.bdd.manager import (
     FALSE,
     TRUE,
-    BDDError,
     BDDManager,
     _OP_AND,
     _OP_DIFF,
     _OP_OR,
     _OP_XOR,
+    _ITEVAR_BASE,
 )
 
 __all__ = ["LevelQueue", "SweepKernel"]
-
-#: Cache-key namespace for the fused variable-insertion op: binary ops
-#: use codes 0-3, so keying ite_var entries as ``(_ITEVAR_BASE + level,
-#: f, g)`` keeps them disjoint inside the shared apply cache.
-_ITEVAR_BASE = 8
 
 
 def _apply_shortcut(op: int, a: int, b: int) -> Optional[int]:
@@ -145,9 +139,8 @@ def _take(resolved: dict, spec) -> int:
 # A request is a node pair ``(f, g)``; unary ops (exist, replace) carry
 # FALSE as ``g``.  ``child`` turns a cofactor pair into a value or files
 # a request (returning its key), ``key`` is the operation-cache key of
-# a request at a level (``keys``: the same over parallel lists, for
-# kernels that process a level at once), and ``combine`` builds the
-# results of a level's rows from their children's.  ``lv``/``lo``/``hi``
+# a request at a level, and ``combine`` builds the results of a level's
+# rows from their children's.  ``lv``/``lo``/``hi``
 # read the node store; the down pass only reads nodes that existed when
 # the op started, so readers bound at construction stay valid while the
 # store grows.
@@ -209,9 +202,6 @@ class ApplySpec(_Spec):
     def key(self, x: int, y: int, level: int):
         return (self.op, x, y)
 
-    def keys(self, xs, ys, levels):
-        return zip(repeat(self.op), xs, ys)
-
     def hit(self, n: int) -> None:
         self.m.stats.op_hits[self.op] += n
 
@@ -254,10 +244,6 @@ class IteVarSpec(_Spec):
 
     def key(self, f: int, g: int, level: int):
         return (self.opk, f, g)
-
-    def keys(self, fs, gs, levels):
-        return zip(repeat(self.opk), fs, gs)
-
 
 
 class _Suffixes(dict):
@@ -314,9 +300,6 @@ class ExistSpec(_QuantSpec, _UnarySpec):
     def key(self, x: int, _y: int, level: int):
         return (x, self.suffix[level])
 
-    def keys(self, xs, ys, levels):
-        return zip(xs, map(self.suffix.__getitem__, levels))
-
 
 class AndExistSpec(_QuantSpec):
     __slots__ = ()
@@ -344,9 +327,6 @@ class AndExistSpec(_QuantSpec):
 
     def key(self, a: int, b: int, level: int):
         return (a, b, self.suffix[level])
-
-    def keys(self, xs, ys, levels):
-        return zip(xs, ys, map(self.suffix.__getitem__, levels))
 
 
 class ReplaceSpec(_UnarySpec):
@@ -404,17 +384,11 @@ class SweepKernel(BDDManager):
     ) -> None:
         super().__init__(num_vars, gc_threshold, cache_limit)
         self._sweep_trace: Optional[list] = None
-        self._interned: Dict[tuple, int] = {}
         #: The published results of the sweeps in flight (nested ones
         #: included), for kernels that account their memory.
         self._active_resolved: List[dict] = []
 
     # -- kernel hooks ---------------------------------------------------
-
-    def _intern(self, items: tuple) -> int:
-        """A small id for a tuple of quantified levels or level moves, so
-        cache keys hash a few ints instead of the tuple."""
-        return self._interned.setdefault(items, len(self._interned))
 
     def _level_queue(self):
         return LevelQueue()
@@ -544,17 +518,8 @@ class SweepKernel(BDDManager):
         return self._sweep(IteVarSpec(self, L), pairs)
 
     def replace(self, a: int, permutation: Dict[int, int]) -> int:
-        perm_vars = {k: v for k, v in permutation.items() if k != v}
-        if not perm_vars:
-            return a
-        if len(set(perm_vars.values())) != len(perm_vars):
-            raise BDDError("replace permutation must be injective")
-        perm: Dict[int, int] = {}
-        for old, new in perm_vars.items():
-            self._check_var(old)
-            self._check_var(new)
-            perm[self._level_at_var[old]] = self._level_at_var[new]
-        if self.is_terminal(a):
+        perm = self._replace_levels(permutation)
+        if not perm or self.is_terminal(a):
             return a
         key = (a, self._intern(tuple(sorted(perm.items()))))
         cached = self._replace_cache.get(key)

@@ -113,10 +113,11 @@ def _run_pointsto(
 #: Default memory cap for the ``pointsto-xl`` workload.  The uncapped
 #: solve keeps tens of MB of kernel state resident (see
 #: ``benchmarks/test_ooc.py``, which measures rather than assumes), so
-#: 12 MiB forces every spill mechanism: unique-table runs, page
-#: eviction, and sweep-queue chunks.  (At 16 MiB the ~190k-node table
-#: fits the page budget and no page is ever evicted.)
-XL_CAP_BYTES = 12 << 20
+#: 6 MiB forces every spill mechanism: unique-table runs, page
+#: eviction, and sweep-queue chunks.  (Since input relations are built
+#: in one pass the node table fits the page budget at 12 MiB and even
+#: at 10 MiB, and no page is ever evicted there.)
+XL_CAP_BYTES = 6 << 20
 
 
 def _run_pointsto_xl(chain_depth: int) -> Dict[str, float]:

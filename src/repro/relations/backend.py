@@ -118,6 +118,13 @@ class DiagramBackend:
         """Single tuple: a complete assignment of the used levels."""
         raise NotImplementedError
 
+    def cube_union(self, assignments: Iterable[Dict[int, bool]]) -> int:
+        """Many tuples: the union of the cubes of ``assignments``."""
+        node = self.empty()
+        for assignment in assignments:
+            node = self.union(node, self.cube(assignment))
+        return node
+
     # Set algebra (operands must use the same level set) ----------------
     def union(self, a: int, b: int) -> int:
         raise NotImplementedError
@@ -275,6 +282,10 @@ class BDDBackend(DiagramBackend):
 
     def cube(self, assignment: Dict[int, bool]) -> int:
         return self.manager.cube(assignment)
+
+    @_traced("bdd.cube_union", "kernel")
+    def cube_union(self, assignments: Iterable[Dict[int, bool]]) -> int:
+        return self.manager.cube_union(assignments)
 
     @_traced("bdd.union", "kernel")
     def union(self, a: int, b: int) -> int:

@@ -443,18 +443,21 @@ class Relation:
         """Bulk constructor: union of one-tuple literals, but in one pass."""
         schema = cls._make_schema(universe, attributes, physdoms)
         backend = _backend_for(universe.manager)
-        node = backend.empty()
-        for row in rows:
-            if len(row) != len(schema):
-                raise JeddError(
-                    f"row {row!r} does not match schema {schema!r}"
-                )
-            assignment: Dict[int, bool] = {}
-            for (attr, pd), obj in zip(schema.pairs, row):
-                assignment.update(
-                    universe.encode_bits(pd, attr.domain.intern(obj))
-                )
-            node = backend.union(node, backend.cube(assignment))
+
+        def assignments():
+            for row in rows:
+                if len(row) != len(schema):
+                    raise JeddError(
+                        f"row {row!r} does not match schema {schema!r}"
+                    )
+                assignment: Dict[int, bool] = {}
+                for (attr, pd), obj in zip(schema.pairs, row):
+                    assignment.update(
+                        universe.encode_bits(pd, attr.domain.intern(obj))
+                    )
+                yield assignment
+
+        node = backend.cube_union(assignments())
         return cls(universe, schema, node, backend)
 
     @classmethod
@@ -502,9 +505,11 @@ class Relation:
             close = True
             label = str(source)
         backend = _backend_for(universe.manager)
-        node = backend.empty()
         errors: List[Tuple[int, str]] = []
-        try:
+
+        def assignments():
+            # Rows stream into the one-pass constructor, which keeps one
+            # int per distinct row; malformed ones are noted on the way.
             reader = _csv.reader(fp, delimiter=delimiter)
             order: Optional[List[int]] = None
             for line_no, row in enumerate(reader, start=1):
@@ -553,7 +558,10 @@ class Relation:
                 except (JeddError, ValueError, TypeError) as exc:
                     errors.append((line_no, str(exc)))
                     continue
-                node = backend.union(node, backend.cube(assignment))
+                yield assignment
+
+        try:
+            node = backend.cube_union(assignments())
         finally:
             if close:
                 fp.close()

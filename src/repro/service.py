@@ -63,10 +63,50 @@ __all__ = [
 #: clients can refuse servers they do not understand.
 PROTOCOL_VERSION = 1
 
+#: Longest request line the server reads (asyncio's default stream
+#: limit); a longer one is discarded through its newline and answered
+#: with an error.
+_LINE_LIMIT = 1 << 16
+
 
 class ServiceError(Exception):
     """A request-level error: reported to the client, the server and
     the session survive."""
+
+
+async def _read_line(reader) -> Optional[bytes]:
+    """The next request line: ``b""`` at end of input, ``None`` for a
+    line over the reader's limit, which is dropped up to its newline so
+    the next request starts clean."""
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as eof:
+        return eof.partial
+    except asyncio.LimitOverrunError as over:
+        consumed = over.consumed
+    try:
+        while True:
+            await reader.readexactly(consumed)
+            try:
+                await reader.readuntil(b"\n")
+                return None
+            except asyncio.LimitOverrunError as over:
+                consumed = over.consumed
+    except asyncio.IncompleteReadError:
+        return None  # input ended inside the line; the next read sees that
+
+
+def _parse_request(line: Optional[bytes]) -> dict:
+    """Decode one request line (``None``: an oversized one)."""
+    if line is None:
+        raise ServiceError(f"request line longer than {_LINE_LIMIT} bytes")
+    try:
+        request = json.loads(line.decode("utf-8"))
+    except ValueError as err:
+        raise ServiceError(f"request is not JSON: {err}") from None
+    if not isinstance(request, dict):
+        raise ServiceError("request must be a JSON object")
+    return request
 
 
 class _WireCache:
@@ -391,24 +431,26 @@ class JeddService:
 
     async def dispatch(self, request: dict) -> dict:
         op = request.get("op")
+        if not isinstance(op, str):
+            raise ServiceError("request needs an 'op' string")
         handler = getattr(
-            self, "op_" + str(op).replace(".", "_").replace("-", "_"), None
+            self, "op_" + op.replace(".", "_").replace("-", "_"), None
         )
-        if not isinstance(op, str) or handler is None:
+        if handler is None:
             raise ServiceError(f"unknown op {op!r}")
         return await handler(request)
 
     async def _handle(self, reader, writer) -> None:
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                line = await _read_line(reader)
+                if line == b"":
                     return
-                if not line.strip():
+                if line is not None and not line.strip():
                     continue
                 rid = None
                 try:
-                    request = json.loads(line.decode("utf-8"))
+                    request = _parse_request(line)
                     rid = request.get("id")
                     result = await self.dispatch(request)
                     response = {"id": rid, "ok": True, "result": result}
@@ -438,7 +480,9 @@ class JeddService:
         self, host: str = "127.0.0.1", port: int = 0, announce=None
     ) -> None:
         """Accept requests until a ``shutdown`` op arrives."""
-        self._server = await asyncio.start_server(self._handle, host, port)
+        self._server = await asyncio.start_server(
+            self._handle, host, port, limit=_LINE_LIMIT
+        )
         bound = self._server.sockets[0].getsockname()
         if announce is not None:
             announce(bound[0], bound[1])

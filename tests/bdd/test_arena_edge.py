@@ -185,3 +185,80 @@ def test_swap_levels_interleaved_with_batches(monkeypatch):
     assert all(s > 0 for s in sizes)
     for h in held:
         m.deref(h)
+
+
+def test_gc_rebuilds_level_unique_tables(monkeypatch):
+    """With every request swept, nodes come from mk_many; a collection
+    rebuilds the per-level unique tables from the live nodes only, and
+    rebuilding a kept diagram afterwards finds its nodes again."""
+    monkeypatch.setattr(arena, "_VECTOR_THRESHOLD", 2)
+    monkeypatch.setattr(arena, "_RECURSION_SAFE_VARS", 0)
+    n_vars = 10
+    m_ref = BDDManager(num_vars=n_vars)
+    m = ArenaBDDManager(num_vars=n_vars, initial_capacity=8)
+    rng_r, rng_a = random.Random(21), random.Random(21)
+    for _ in range(4):
+        pool_ref = random_forest(m_ref, rng_r, n_vars, rounds=40)
+        pool = random_forest(m, rng_a, n_vars, rounds=40)
+        assert_forest_equal(m_ref, pool_ref, m, pool)
+        keep = m.ref(max(pool, key=m.node_count))
+        wire = dumps_diagram_binary(m, keep)
+        assert m.gc() > 0
+        assert m.table_stats()["unique_entries"] == m.num_nodes - 2
+        m.check_integrity()
+        created = m.stats.nodes_created
+        again = m.apply_or(m.apply_and(keep, TRUE), FALSE)
+        assert again == keep and m.stats.nodes_created == created
+        assert dumps_diagram_binary(m, keep) == wire
+        m.deref(keep)
+
+
+def test_wide_caches_answer_repeats_and_clear(monkeypatch):
+    """Wide levels cache results under packed keys: repeating an op
+    after the tuple-keyed caches are emptied is answered from them
+    without creating a node, cache_stats counts them, and gc clears
+    them."""
+    monkeypatch.setattr(arena, "_VECTOR_THRESHOLD", 2)
+    monkeypatch.setattr(arena, "_RECURSION_SAFE_VARS", 0)
+    n_vars = 10
+    m_ref = BDDManager(num_vars=n_vars)
+    m = ArenaBDDManager(num_vars=n_vars)
+    rng = random.Random(4)
+    # Two random sets of 300 rows: diagrams wide at most levels.
+    sets = [
+        [
+            {v: rng.random() < 0.5 for v in range(n_vars)}
+            for _ in range(300)
+        ]
+        for _ in range(2)
+    ]
+    a, b = (m.cube_union(rows) for rows in sets)
+    ra, rb = (m_ref.cube_union(rows) for rows in sets)
+    qvars = [1, 4, 7]
+    results = [m.apply_and(a, b), m.apply_xor(a, b), m.and_exist(a, b, qvars)]
+    expect = [
+        m_ref.apply_and(ra, rb),
+        m_ref.apply_xor(ra, rb),
+        m_ref.and_exist(ra, rb, qvars),
+    ]
+    for r, e in zip(results, expect):
+        assert dumps_diagram_binary(m, r) == dumps_diagram_binary(m_ref, e)
+    assert m._wide_caches
+    stats = m.cache_stats()
+    assert stats["apply"] >= len(m._apply_cache) + 1
+    # Empty only the tuple-keyed caches: the wide ones answer.
+    for cache in (m._apply_cache, m._and_exist_cache):
+        cache.clear()
+    created = m.stats.nodes_created
+    hits = sum(m.stats.op_hits) + m.stats.and_exist_hits
+    assert [
+        m.apply_and(a, b), m.apply_xor(a, b), m.and_exist(a, b, qvars)
+    ] == results
+    assert m.stats.nodes_created == created
+    assert sum(m.stats.op_hits) + m.stats.and_exist_hits > hits
+    held = [m.ref(r) for r in results]
+    m.gc()
+    assert not m._wide_caches
+    assert m.cache_stats()["apply"] == 0
+    for r in held:
+        m.deref(r)

@@ -24,6 +24,7 @@ implementations disagreed; see :mod:`tests.bdd._repro`), and
 failing chain.
 """
 
+import io
 import os
 import random
 
@@ -255,13 +256,41 @@ def random_base(rng, u_ref, u_arena, u_ooc, u_zdd):
     )
 
 
+def csv_base(rng, u_ref, u_arena, u_ooc, u_zdd):
+    """A base relation read from CSV text: duplicate rows and the bulk
+    constructor's CSV path (the BDD kernels build it in one pass, the
+    ZDD backend by the per-row fold)."""
+    n_attrs = rng.randrange(1, 4)
+    attrs = rng.sample(ATTRS, n_attrs)
+    pds = rng.sample(PHYSDOMS, n_attrs)
+    rows = [
+        tuple(rng.randrange(DOMAIN_SIZE) for _ in attrs)
+        for _ in range(rng.randrange(0, 16))
+    ]
+    rows += rng.sample(rows, min(len(rows), 3))
+    text = "".join(",".join(map(str, row)) + "\n" for row in rows)
+    conv = {name: int for name in attrs}
+
+    def load(u):
+        return Relation.from_csv(
+            u, io.StringIO(text), attrs, pds, converters=conv
+        )
+
+    return Quint(
+        load(u_ref), load(u_arena), load(u_ooc), load(u_zdd),
+        Oracle.from_tuples(attrs, rows),
+    )
+
+
 def apply_random_op(rng, pool, u_ref, u_arena, u_ooc, u_zdd):
     """Apply one random operation; returns a new Quint or None."""
-    ops = ["base", "union", "intersect", "difference", "project",
-           "rename", "join", "compose", "select", "replace"]
+    ops = ["base", "csv", "union", "intersect", "difference", "project",
+           "rename", "join", "compose", "select", "replace", "swap"]
     op = rng.choice(ops)
     if op == "base" or not pool:
         return random_base(rng, u_ref, u_arena, u_ooc, u_zdd)
+    if op == "csv":
+        return csv_base(rng, u_ref, u_arena, u_ooc, u_zdd)
     t1 = rng.choice(pool)
     if op in ("union", "intersect", "difference"):
         same = [t for t in pool if t.oracle.attrs == t1.oracle.attrs]
@@ -355,6 +384,21 @@ def apply_random_op(rng, pool, u_ref, u_arena, u_ooc, u_zdd):
             t1.arena.replace({name: target}),
             t1.ooc.replace({name: target}),
             t1.zdd.replace({name: target}),
+            t1.oracle,
+        )
+    if op == "swap":
+        # Exchange the physical domains of two attributes: a replace
+        # whose moves cross each other (never a monotone relabel).
+        pairs = t1.ref.schema.pairs
+        if len(pairs) < 2:
+            return None
+        (a, pa), (b, pb) = rng.sample(pairs, 2)
+        moves = {a.name: pb.name, b.name: pa.name}
+        return Quint(
+            t1.ref.replace(moves),
+            t1.arena.replace(moves),
+            t1.ooc.replace(moves),
+            t1.zdd.replace(moves),
             t1.oracle,
         )
     raise AssertionError(op)

@@ -279,3 +279,55 @@ class TestCsvLoading:
                 ["P1", "P2", "P3"],
                 converters={"a": int, "b": int, "c": int},
             )
+
+    def test_rows_stream_into_the_bdd_constructor(self, monkeypatch):
+        """On the bdd backend each parsed row reaches the one-pass
+        constructor as soon as its line is read: loading keeps no list
+        of rows, and malformed rows are still reported afterwards."""
+
+        class Lines:
+            name = "<lines>"
+
+            def __init__(self, lines):
+                self.lines = lines
+                self.read_count = 0
+
+            def read(self, *_):
+                raise AssertionError("the source is iterated, not read whole")
+
+            def __iter__(self):
+                for line in self.lines:
+                    self.read_count += 1
+                    yield line
+
+        u = make_numeric_universe("bdd")
+        kernel = type(u.manager)
+        build = kernel.cube_union
+        pulled = []
+
+        def spy(self, assignments):
+            def rows():
+                for row in assignments:
+                    pulled.append(src.read_count)
+                    yield row
+
+            return build(self, rows())
+
+        monkeypatch.setattr(kernel, "cube_union", spy)
+        conv = {"a": int, "b": int, "c": int}
+        names, pds = ["a", "b", "c"], ["P1", "P2", "P3"]
+        src = Lines(["1,2,3\n", "4,5,0\n", "1,2,3\n"])
+        rel = Relation.from_csv(u, src, names, pds, converters=conv)
+        assert pulled == [1, 2, 3]
+        assert set(rel.tuples()) == {(1, 2, 3), (4, 5, 0)}
+
+        pulled.clear()
+        src = Lines(["1,2,3\n", "badrow\n", "4,5,0\n"])
+        with pytest.raises(CsvFormatError, match="line 2"):
+            Relation.from_csv(u, src, names, pds, converters=conv)
+        assert pulled == [1, 3]
+        src = Lines(["1,2,3\n", "badrow\n", "4,5,0\n"])
+        rel = Relation.from_csv(
+            u, src, names, pds, converters=conv, on_malformed="skip"
+        )
+        assert set(rel.tuples()) == {(1, 2, 3), (4, 5, 0)}

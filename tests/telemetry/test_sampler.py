@@ -67,10 +67,17 @@ class TestSample:
             physdoms={"P1": 6, "P2": 6, "P3": 6},
         )
         session.instrument_universe(u)
-        u.relation_of(
+        # Construction builds diagrams without a sweep; the union of two
+        # relations runs one.
+        left = u.relation_of(
             ["src", "dst"], [(i, (i * 7) % 50) for i in range(40)],
             ["P1", "P2"],
         )
+        right = u.relation_of(
+            ["src", "dst"], [(i, (i * 3) % 50) for i in range(40)],
+            ["P1", "P2"],
+        )
+        left.union(right)
         Sampler(session).sample()
         snap = session.metrics_snapshot()
         assert "bdd.frontier.max_frontier" in snap
@@ -89,10 +96,17 @@ class TestSample:
         m = u.manager
         m.memory_cap_bytes = None  # keep the run deterministic; gauges
         # must exist for capped *and* uncapped managers alike.
-        u.relation_of(
+        # Construction builds diagrams without a sweep; the union of two
+        # relations runs one.
+        left = u.relation_of(
             ["src", "dst"], [(i, (i * 7) % 50) for i in range(40)],
             ["P1", "P2"],
         )
+        right = u.relation_of(
+            ["src", "dst"], [(i, (i * 3) % 50) for i in range(40)],
+            ["P1", "P2"],
+        )
+        left.union(right)
         Sampler(session).sample()
         snap = session.metrics_snapshot()
         assert "bdd.ooc.sweeps" in snap and snap["bdd.ooc.sweeps"] > 0

@@ -5,6 +5,8 @@ drives it through the blocking :class:`ServiceClient` — the same path
 the shell's ``connect`` command and the CI smoke script use.
 """
 
+import json
+import socket
 import threading
 
 import pytest
@@ -97,6 +99,89 @@ class TestProtocol:
         again = client.open("reopened")
         assert first["created"] in (True, False)
         assert again["created"] is False
+
+
+class _RawClient:
+    """Sends arbitrary bytes and reads one JSON response per line."""
+
+    def __init__(self, server):
+        self.sock = socket.create_connection(
+            (server.host, server.port), timeout=30
+        )
+        self.file = self.sock.makefile("rwb")
+
+    def send(self, data: bytes):
+        self.file.write(data)
+        self.file.flush()
+
+    def response(self):
+        line = self.file.readline()
+        assert line, "service closed the connection"
+        return json.loads(line.decode("utf-8"))
+
+    def close(self):
+        self.file.close()
+        self.sock.close()
+
+
+@pytest.fixture()
+def raw(server):
+    c = _RawClient(server)
+    yield c
+    c.close()
+
+
+PING = b'{"id": 7, "op": "ping"}\n'
+
+
+class TestRequestBoundary:
+    """Malformed requests get a structured error and the connection
+    stays open for the next request."""
+
+    @pytest.mark.parametrize("payload", [b"[1, 2]", b"3", b'"ping"', b"null"])
+    def test_non_object_request(self, raw, payload):
+        raw.send(payload + b"\n" + PING)
+        response = raw.response()
+        assert response == {
+            "id": None, "ok": False, "error": "request must be a JSON object"
+        }
+        assert raw.response()["result"]["pong"] is True
+
+    @pytest.mark.parametrize("op", ["5", "null", "[\"ping\"]", "{}"])
+    def test_non_string_op(self, raw, op):
+        raw.send(b'{"id": 3, "op": ' + op.encode() + b"}\n" + PING)
+        response = raw.response()
+        assert response == {
+            "id": 3, "ok": False, "error": "request needs an 'op' string"
+        }
+        assert raw.response()["result"]["pong"] is True
+
+    def test_malformed_json(self, raw):
+        raw.send(b'{"op": \n' + PING)
+        response = raw.response()
+        assert response["ok"] is False
+        assert response["error"].startswith("request is not JSON")
+        assert raw.response()["result"]["pong"] is True
+
+    @pytest.mark.parametrize("size", [70_000, 300_000])
+    def test_oversized_line_keeps_connection(self, raw, size):
+        big = b'{"op": "ping", "pad": "' + b"x" * size + b'"}\n'
+        raw.send(big + PING)
+        response = raw.response()
+        assert response["ok"] is False
+        assert response["error"] == "request line longer than 65536 bytes"
+        assert raw.response() == {
+            "id": 7, "ok": True,
+            "result": {"pong": True, "protocol": PROTOCOL_VERSION},
+        }
+
+    def test_oversized_line_in_pieces(self, raw):
+        raw.send(b'{"op": "ping", "pad": "')
+        for _ in range(5):
+            raw.send(b"y" * 40_000)
+        raw.send(b'"}\n' + PING)
+        assert raw.response()["ok"] is False
+        assert raw.response()["result"]["pong"] is True
 
 
 class TestShellMultiplexing:
